@@ -75,6 +75,20 @@ let round_arg =
   in
   Arg.(value & opt int 1 & info [ "round" ] ~docv:"R" ~doc)
 
+(* Reject out-of-range --shards (and --round, where the subcommand takes
+   it) with exit 2 before any work starts. *)
+let check_shards ?round shards =
+  let max = Fg_shard.Shard_engine.max_shards in
+  if shards < 0 || shards > max then begin
+    Printf.eprintf "--shards must be in 0..%d (got %d)\n" max shards;
+    exit 2
+  end;
+  match round with
+  | Some r when shards > 0 && r < 1 ->
+    Printf.eprintf "--round must be >= 1 (got %d)\n" r;
+    exit 2
+  | _ -> ()
+
 (* Healer-shaped view of a sharded engine, so the adversary strategies
    (which are written against {!Fg_baselines.Healer.t}) can pick a whole
    round of victims against the pre-round topology: picks accumulate in
@@ -206,6 +220,7 @@ let attack_sharded ~family ~seed ~n ~adversary:del ~fraction ~paranoid ~shards ~
 
 let attack family seed n healer adversary fraction paranoid trace metrics domains
     metrics_every metrics_out shards round =
+  check_shards ~round shards;
   with_obs trace (metrics || metrics_every > 0) domains @@ fun () ->
   let del =
     try Fg_adversary.Adversary.deletion_of_name adversary
@@ -343,6 +358,7 @@ let attack_cmd =
 
 let simulate family seed n deletions distributed trace metrics domains
     metrics_every metrics_out shards round =
+  check_shards ~round shards;
   with_obs trace (metrics || metrics_every > 0) domains @@ fun () ->
   let g0 = make_graph family seed n in
   let rng = Fg_graph.Rng.create (seed + 1) in
@@ -565,6 +581,7 @@ let stretch_cmd =
 
 let serve_bench family seed n readers duration churn_rate sample_pairs mix_s metrics_out trace
     metrics shards =
+  check_shards shards;
   let mix =
     match Fg_serve.Loadgen.mix_of_string mix_s with
     | Ok m -> m
@@ -612,7 +629,6 @@ let serve_bench family seed n readers duration churn_rate sample_pairs mix_s met
     Fg_serve.Loadgen.pp_report report;
   Option.iter
     (fun eng ->
-      Fg_shard.Shard_engine.publish_shards eng;
       let stats = Fg_shard.Shard_engine.stats eng in
       Format.printf "shards: %d rounds over %d shards, heals per shard [%s]@."
         (Fg_shard.Shard_engine.rounds eng)

@@ -497,19 +497,13 @@ let delete_batch t victims =
 
    [delete_round] is [delete_batch] with the group execution delegated to
    a caller-supplied scheduler: [exec] receives the canonical group array
-   and must get every group healed — directly ([heal_group_direct], on
-   the calling domain, in array order) or staged ([heal_group_staged], any
-   order, any domain). Staged groups are then committed here in canonical
-   order, so the result is byte-identical to [delete_batch] regardless of
-   how [exec] scheduled the work. *)
+   and must stage every group ([heal_group_staged], any order, any
+   domain). The stages are then committed here in canonical order, so the
+   result is byte-identical to [delete_batch] regardless of how [exec]
+   scheduled the work. *)
 
 let commit_groups t groups =
-  Array.iter
-    (fun g ->
-      match g.rg_stage with
-      | Some st -> Rt.commit_stage t.rt st
-      | None -> () (* healed directly; nothing to commit *))
-    groups
+  Array.iter (fun g -> Option.iter (Rt.commit_stage t.rt) g.rg_stage) groups
 
 let delete_round_body t victims ~exec b =
   delete_groups_body t victims b ~run:(fun groups ->

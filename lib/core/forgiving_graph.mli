@@ -85,11 +85,10 @@ val delete_batch_delta : t -> Node_id.t list -> Delta.t * Rt.heal_trace list
     scheduler. The planner classifies victims and partitions them into
     independent repair groups (canonical order: ascending union-find
     root) on the calling domain; [exec] receives the group array and must
-    get every group healed — directly ({!heal_group_direct}: on the
-    calling domain, {e in array order}) or staged
-    ({!heal_group_staged}: any order, any domain, one executor per
-    domain). Staged groups are then committed in canonical order, making
-    the result byte-identical to {!delete_batch} for any schedule. *)
+    stage every group ({!heal_group_staged}: any order, any domain, one
+    executor per domain). The stages are then committed in canonical
+    order, making the result byte-identical to {!delete_batch} for any
+    schedule. *)
 
 (** One independent repair group, planned and ready to heal. *)
 type round_group
@@ -109,10 +108,6 @@ val group_fresh_procs : round_group -> Node_id.t list
 
 (** The stage journalling this group's heal, once staged. *)
 val group_stage : round_group -> Rt.stage option
-
-(** Heal a group on the base context, as the flat engine would. Only
-    valid inside [exec], on the calling domain, in canonical order. *)
-val heal_group_direct : t -> round_group -> unit
 
 (** Stage a group's heal on an executor (from {!round_executor}); effects
     are journalled and committed after [exec] returns. Safe from a worker

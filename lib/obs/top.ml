@@ -161,14 +161,8 @@ let render ?(ansi = false) t =
     let rates = shard_heal_rates t in
     Buffer.add_string buf "\nshards: ";
     for s = 0 to k - 1 do
-      let mbox =
-        match List.assoc_opt (Printf.sprintf "s%d.mbox" s) t.shard with
-        | Some (Event.Int d) -> d
-        | _ -> 0
-      in
       let r = if s < Array.length rates then rates.(s) else 0. in
-      Printf.bprintf buf "s%d %.1f/s mbox %d%s" s r mbox
-        (if s < k - 1 then " | " else "")
+      Printf.bprintf buf "s%d %.1f/s%s" s r (if s < k - 1 then " | " else "")
     done;
     Buffer.add_char buf '\n'
   | _ -> ());

@@ -1,11 +1,10 @@
 (** Paranoid audit of one sharded round.
 
     Runs the flat engine's O(Δ) transition check
-    ({!Fg_core.Invariants.check_delta}) on the merged delta, then — for
-    parallel rounds — cross-checks the per-shard stage journals against
-    it: total journalled vnode creations/discards must equal the
-    delta's, and every journalled image operation must name nodes the
-    engine has seen. Cheap enough to run after every round
+    ({!Fg_core.Invariants.check_delta}) on the merged delta, then
+    cross-checks the per-shard stage journals against it: total
+    journalled vnode creations/discards must equal the delta's, and every
+    journalled image operation must name nodes the engine has seen. Cheap enough to run after every round
     ([fg attack --shards K --paranoid]). *)
 
 type violation = string

@@ -1,33 +1,27 @@
-(* The sharded heal engine: a domain-per-shard front half bolted onto the
-   flat engine's staged round machinery ({!Fg_core.Forgiving_graph}).
+(* The sharded heal engine: per-shard staging bolted onto the flat
+   engine's staged round machinery ({!Fg_core.Forgiving_graph}).
 
    One round:
-     1. ring tick (heartbeats, suspicion),
-     2. assignment — each planned repair group routes by its owner id
-        through {!Shard_map.owner}, re-homed by {!Shard_ring.delegate}
-        when the home shard is suspected,
-     3. dispatch — groups land in per-shard SPSC {!Mailbox}es in
-        canonical order,
-     4. parallel staging — each shard's worker domain drains its inbox,
-        journalling heals on its private executor ({!Rt.executor});
-        frozen shards leave their inbox untouched,
-     5. retry — the coordinator sweeps leftover inboxes, reports the dead
-        shard to the ring and re-stages on the delegate's executor,
-     6. commit — {!Fg_core.Forgiving_graph.delete_round} replays every
+     1. assignment — each planned repair group routes by its owner id
+        through {!Shard_map.owner}; group indices land in one slice per
+        shard, in canonical order,
+     2. staging — [Parallel.iter] hands shard [s] its slice, which it
+        journals on its private executor ({!Rt.executor}),
+     3. commit — {!Fg_core.Forgiving_graph.delete_round} replays every
         journal in canonical group order, so the final state is
         byte-identical to the flat engine for any shard count.
 
-   When any observability sink is live (trace / metrics / profiling) the
-   round runs serially on the coordinator — the sinks are not
-   multi-domain-safe — through the same assignment and failover path, and
-   produces the same state either way. *)
+   When any observability sink is live (trace / metrics / profiling), the
+   engine is pinned serial, or K = 1, the same staging loop runs on the
+   coordinator ([Parallel.iter ~domains:1]) — the sinks are not
+   multi-domain-safe — and produces the same state either way. The
+   [Parallel.iter] barrier orders the slice writes before staging and the
+   stage reads after it. *)
 
 module Fg = Fg_core.Forgiving_graph
 module Rt = Fg_core.Rt
 module Node_id = Fg_graph.Node_id
 module Adjacency = Fg_graph.Adjacency
-module Csr = Fg_graph.Csr
-module Store = Fg_graph.Snapshot_store
 module Trace = Fg_obs.Trace
 module Metrics = Fg_obs.Metrics
 module Profile = Fg_obs.Profile
@@ -36,255 +30,129 @@ module Event = Fg_obs.Event
 
 type shard_stat = {
   mutable heals : int;  (* fg-lint: single-writer shard-worker — repair groups healed by this shard *)
-  mutable local_groups : int;  (* fg-lint: single-writer shard-worker — every member + fresh proc home-owned *)
-  mutable cross_groups : int; (* fg-lint: single-writer shard-worker *)
-  mutable retries : int;  (* fg-lint: single-writer shard-worker — groups re-homed here by the retry sweep *)
+  mutable local_groups : int;  (* fg-lint: single-writer coordinator — every member + fresh proc home-owned *)
+  mutable cross_groups : int; (* fg-lint: single-writer coordinator *)
   mutable heal_ns : int;  (* fg-lint: single-writer shard-worker — cumulative heal wall time *)
-  mutable mbox_depth : int;  (* fg-lint: single-writer shard-worker — groups assigned in the last round *)
-  mutable mbox_hw : int;  (* fg-lint: single-writer shard-worker — lifetime max of the above *)
 }
 
 type round_info = {
   ri_groups : int;
-  ri_serial : bool;
-  ri_retried : int;
   ri_staged : (int * Rt.stage) array;  (* (shard, journal), canonical order *)
 }
-
-type shard_snapshot = { s_csr : Csr.t; s_gprime_csr : Csr.t }
 
 type t = {
   fg : Fg.t;
   nshards : int;
   map : Shard_map.t;
-  ring : Shard_ring.t;
   executors : Rt.ctx array;
-  inbox : Fg.round_group Mailbox.t array;
   stats : shard_stat array;
-  stores : shard_snapshot Store.t array;
   heal_hdr : Hdr.sharded;  (* shard.heal_ns *)
-  depth_hdr : Hdr.sharded;  (* shard.mailbox_depth *)
   mutable rounds : int; (* fg-lint: single-writer coordinator *)
-  mutable suspicions : int;  (* fg-lint: single-writer coordinator — shards that became suspected, cumulative *)
   mutable serial_only : bool;  (* fg-lint: single-writer coordinator — never spawn worker domains *)
   mutable last : round_info; (* fg-lint: single-writer coordinator *)
 }
 
-let no_round = { ri_groups = 0; ri_serial = true; ri_retried = 0; ri_staged = [||] }
+let max_shards = 1024
 
-let fresh_stat () =
-  {
-    heals = 0;
-    local_groups = 0;
-    cross_groups = 0;
-    retries = 0;
-    heal_ns = 0;
-    mbox_depth = 0;
-    mbox_hw = 0;
-  }
-
-let create ?(shards = 1) ?(block = 64) ?(seed = 0x5AD) ?successors ?timeout graph =
-  if shards < 1 then invalid_arg "Shard_engine.create: shards must be >= 1";
+let create ?(shards = 1) ?(block = 64) graph =
+  if shards < 1 || shards > max_shards then
+    invalid_arg
+      (Printf.sprintf "Shard_engine.create: shards must be in 1..%d" max_shards);
   let fg = Fg.of_graph graph in
-  let ring = Shard_ring.create ?successors ?timeout ~shards ~seed () in
-  let t =
-    {
-      fg;
-      nshards = shards;
-      map = Shard_map.create ~block ~shards ~capacity:(max 1 (Adjacency.num_nodes graph)) ();
-      ring;
-      executors = Array.init shards (fun s -> Fg.round_executor ~slot:s fg);
-      inbox = Array.init shards (fun _ -> Mailbox.create ());
-      stats = Array.init shards (fun _ -> fresh_stat ());
-      stores = Array.init shards (fun _ -> Store.create ());
-      heal_hdr = Metrics.hdr "shard.heal_ns";
-      depth_hdr = Metrics.hdr "shard.mailbox_depth";
-      rounds = 0;
-      suspicions = 0;
-      serial_only = false;
-      last = no_round;
-    }
-  in
-  Shard_ring.on_suspect ring (fun _ -> t.suspicions <- t.suspicions + 1);
-  t
+  {
+    fg;
+    nshards = shards;
+    map = Shard_map.create ~block ~shards ~capacity:(max 1 (Adjacency.num_nodes graph)) ();
+    executors = Array.init shards (fun s -> Fg.round_executor ~slot:s fg);
+    stats =
+      Array.init shards (fun _ ->
+          { heals = 0; local_groups = 0; cross_groups = 0; heal_ns = 0 });
+    heal_hdr = Metrics.hdr "shard.heal_ns";
+    rounds = 0;
+    serial_only = false;
+    last = { ri_groups = 0; ri_staged = [||] };
+  }
 
 let fg t = t.fg
 let shards t = t.nshards
-let map t = t.map
-let ring t = t.ring
 let stats t = t.stats
 let rounds t = t.rounds
-let suspicions t = t.suspicions
 let last_round t = t.last
-let freeze_shard t s = Shard_ring.freeze t.ring s
-let unfreeze_shard t s = Shard_ring.unfreeze t.ring s
 let set_serial_only t b = t.serial_only <- b
 
 let ns_since t0 =
   let dt = (Trace.wall_clock () -. t0) *. 1e9 in
   if dt > 0. then int_of_float dt else 0
 
-(* The home shard of a repair group: where its smallest victim lives. *)
-let group_home t g = Shard_map.owner t.map (Fg.group_owner g)
-
 (* Every victim and every fresh-leaf processor owned by [home]? *)
 let group_local t ~home g =
   List.for_all (fun v -> Shard_map.owner t.map v = home) (Fg.group_members g)
   && List.for_all (fun p -> Shard_map.owner t.map p = home) (Fg.group_fresh_procs g)
 
-let note_heal t s dt =
-  let st = t.stats.(s) in
-  st.heals <- st.heals + 1;
-  st.heal_ns <- st.heal_ns + dt
-
-(* Phase 2+3: route each group (canonical order) and count per-shard
-   load; returns the target array and per-shard assignment counts. *)
-let assign t groups =
+(* The [exec] callback handed to {!Fg.delete_round}: assignment and
+   staging. Commit belongs to [delete_round] itself, after this returns. *)
+let exec_round t groups =
+  t.rounds <- t.rounds + 1;
   let n = Array.length groups in
-  let targets = Array.make n 0 in
-  let counts = Array.make t.nshards 0 in
+  (* assignment: the home shard of a group is where its smallest victim
+     lives; [start] ends up as the slice offsets into [order] *)
+  let owner = Array.make n 0 in
+  let start = Array.make (t.nshards + 1) 0 in
   Array.iteri
     (fun i g ->
-      let home = group_home t g in
-      let target = Shard_ring.delegate t.ring home in
-      targets.(i) <- target;
-      counts.(target) <- counts.(target) + 1;
-      let st = t.stats.(target) in
-      if target = home && group_local t ~home g then
-        st.local_groups <- st.local_groups + 1
+      let home = Shard_map.owner t.map (Fg.group_owner g) in
+      owner.(i) <- home;
+      start.(home + 1) <- start.(home + 1) + 1;
+      let st = t.stats.(home) in
+      if group_local t ~home g then st.local_groups <- st.local_groups + 1
       else st.cross_groups <- st.cross_groups + 1)
     groups;
-  for s = 0 to t.nshards - 1 do
-    let st = t.stats.(s) in
-    st.mbox_depth <- counts.(s);
-    if counts.(s) > st.mbox_hw then st.mbox_hw <- counts.(s);
-    if Metrics.is_recording () then Hdr.record_sharded t.depth_hdr counts.(s)
+  for s = 1 to t.nshards do
+    start.(s) <- start.(s) + start.(s - 1)
   done;
-  targets
-
-(* Serial fallback: heal directly on the coordinator, in canonical order
-   — the flat engine's exact schedule. A group whose target froze after
-   assignment still exercises the failure path (report + delegate). *)
-let run_serial t groups targets retried =
+  let order = Array.make n 0 in
+  let fill = Array.sub start 0 t.nshards in
   Array.iteri
-    (fun i g ->
-      let s0 = targets.(i) in
-      let s =
-        if not (Shard_ring.frozen t.ring s0) then s0
-        else begin
-          Shard_ring.report t.ring s0;
-          incr retried;
-          let d = Shard_ring.delegate t.ring s0 in
-          t.stats.(d).retries <- t.stats.(d).retries + 1;
-          d
-        end
-      in
-      let t0 = Trace.wall_clock () in
-      Fg.heal_group_direct t.fg g;
-      let dt = ns_since t0 in
-      note_heal t s dt;
-      if Metrics.is_recording () then Hdr.record_sharded t.heal_hdr dt)
-    groups
-
-(* Parallel phase: dispatch through the SPSC inboxes, one worker per
-   shard index. A frozen shard's worker leaves its inbox untouched; the
-   coordinator's retry sweep (after the barrier, so both mailbox sides
-   are quiescent) reports it to the ring and re-stages each leftover
-   group on the delegate's executor. *)
-let run_parallel t groups targets retried =
-  let n = Array.length groups in
-  Array.iter (fun mb -> Mailbox.ensure_capacity mb n) t.inbox;
-  Array.iteri
-    (fun i g ->
-      if not (Mailbox.push t.inbox.(targets.(i)) g) then
-        invalid_arg "Shard_engine: inbox overflow")
-    groups;
-  Fg_graph.Parallel.iter ~domains:t.nshards
-    ~init:(fun () -> ())
-    ~f:(fun () s ->
-      if not (Shard_ring.frozen t.ring s) then begin
-        let ex = t.executors.(s) in
-        let rec drain () =
-          match Mailbox.pop t.inbox.(s) with
-          | None -> ()
-          | Some g ->
-              let t0 = Trace.wall_clock () in
-              Fg.heal_group_staged t.fg ~executor:ex g;
-              note_heal t s (ns_since t0);
-              drain ()
-        in
-        drain ()
-      end)
-    t.nshards;
-  for s = 0 to t.nshards - 1 do
-    if not (Mailbox.is_empty t.inbox.(s)) then begin
-      Shard_ring.report t.ring s;
-      let rec flush () =
-        match Mailbox.pop t.inbox.(s) with
-        | None -> ()
-        | Some g ->
-            incr retried;
-            let d = Shard_ring.delegate t.ring s in
-            t.stats.(d).retries <- t.stats.(d).retries + 1;
-            let t0 = Trace.wall_clock () in
-            Fg.heal_group_staged t.fg ~executor:t.executors.(d) g;
-            note_heal t d (ns_since t0);
-            flush ()
-      in
-      flush ()
-    end
-  done
-
-(* The [exec] callback handed to {!Fg.delete_round}: phases 1-5. Commit
-   (phase 6) belongs to [delete_round] itself, after this returns. *)
-let exec_round t groups =
-  Shard_ring.tick t.ring;
-  t.rounds <- t.rounds + 1;
-  let targets = assign t groups in
+    (fun i s ->
+      order.(fill.(s)) <- i;
+      fill.(s) <- fill.(s) + 1)
+    owner;
   let serial =
     t.nshards = 1 || t.serial_only || Trace.enabled () || Metrics.is_recording ()
     || Profile.enabled ()
   in
-  let retried = ref 0 in
-  if serial then run_serial t groups targets retried
-  else run_parallel t groups targets retried;
-  let staged = ref [] in
-  for i = Array.length groups - 1 downto 0 do
-    match Fg.group_stage groups.(i) with
-    | Some st -> staged := (targets.(i), st) :: !staged
-    | None -> ()
-  done;
+  let timed = Metrics.is_recording () in
+  Fg_graph.Parallel.iter
+    ~domains:(if serial then 1 else t.nshards)
+    ~init:(fun () -> ())
+    ~f:(fun () s ->
+      let ex = t.executors.(s) and st = t.stats.(s) in
+      for k = start.(s) to start.(s + 1) - 1 do
+        let t0 = Trace.wall_clock () in
+        Fg.heal_group_staged t.fg ~executor:ex groups.(order.(k));
+        let dt = ns_since t0 in
+        st.heals <- st.heals + 1;
+        st.heal_ns <- st.heal_ns + dt;
+        if timed then Hdr.record_sharded t.heal_hdr dt
+      done)
+    t.nshards;
   t.last <-
     {
-      ri_groups = Array.length groups;
-      ri_serial = serial;
-      ri_retried = !retried;
-      ri_staged = Array.of_list !staged;
+      ri_groups = n;
+      ri_staged = Array.mapi (fun i g -> (owner.(i), Option.get (Fg.group_stage g))) groups;
     }
 
 (* Post-round telemetry: the per-shard rates feed for [fg top]. *)
 let emit_round t =
-  if Metrics.is_recording () then begin
-    Metrics.incr ~n:t.last.ri_groups "shard.groups";
-    if t.last.ri_retried > 0 then Metrics.incr ~n:t.last.ri_retried "shard.retries"
-  end;
-  if Trace.enabled () then begin
-    let per_shard =
-      List.concat
-        (List.init t.nshards (fun s ->
-             let st = t.stats.(s) in
-             [
-               (Printf.sprintf "s%d.heals" s, Event.Int st.heals);
-               (Printf.sprintf "s%d.mbox" s, Event.Int st.mbox_depth);
-             ]))
-    in
+  if Metrics.is_recording () then Metrics.incr ~n:t.last.ri_groups "shard.groups";
+  if Trace.enabled () then
     Trace.point "fg.shard"
       ~attrs:
         (("shards", Event.Int t.nshards)
         :: ("round", Event.Int t.rounds)
         :: ("groups", Event.Int t.last.ri_groups)
-        :: per_shard)
-  end
+        :: List.init t.nshards (fun s ->
+               (Printf.sprintf "s%d.heals" s, Event.Int t.stats.(s).heals)))
 
 let delete_round t victims =
   Fg.delete_round t.fg ~exec:(exec_round t) victims;
@@ -309,28 +177,3 @@ let insert t v neighbours =
 let insert_delta t v neighbours =
   Shard_map.ensure t.map ((v : Node_id.t) + 1);
   Fg.insert_delta t.fg v neighbours
-
-(* The shard's slice of a graph: every edge with an endpoint it owns. *)
-let shard_view t source s =
-  let adj = Adjacency.create () in
-  Adjacency.iter_edges
-    (fun u v ->
-      if Shard_map.owner t.map u = s || Shard_map.owner t.map v = s then
-        Adjacency.add_edge adj u v)
-    source;
-  adj
-
-let publish_shards t =
-  let gen = Fg.generation t.fg in
-  let g = Fg.graph t.fg and g' = Fg.gprime t.fg in
-  for s = 0 to t.nshards - 1 do
-    (* a frozen shard keeps serving its last pre-freeze generation *)
-    if not (Shard_ring.frozen t.ring s) then
-      Store.publish t.stores.(s) ~gen
-        {
-          s_csr = Csr.of_adjacency (shard_view t g s);
-          s_gprime_csr = Csr.of_adjacency (shard_view t g' s);
-        }
-  done
-
-let shard_store t s = t.stores.(s)

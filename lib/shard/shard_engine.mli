@@ -1,21 +1,20 @@
 (** The sharded heal engine: node-id space partitioned block-cyclically
-    across K shards ({!Shard_map}), one worker domain per shard, ring
-    membership and failover from {!Shard_ring}, and the flat engine's
-    staged round machinery underneath
+    across K shards ({!Shard_map}), one staging slice per shard, and the
+    flat engine's staged round machinery underneath
     ({!Fg_core.Forgiving_graph.delete_round}).
 
-    Shard-local heals run with zero coordination: each shard's worker
-    drains its SPSC inbox and journals heals on a private executor.
-    Cross-shard groups ride the same mailboxes — the owner-ordered
-    commit replays every journal in canonical group order, so the final
-    graph, G' image and delta stream are {e byte-identical} to the flat
-    engine for any shard count.
+    Each round routes every planned repair group to the shard owning its
+    smallest victim; shard [s] journals its slice of groups on a private
+    executor, one worker domain per shard. The owner-ordered commit then
+    replays every journal in canonical group order, so the final graph,
+    G' image and delta stream are {e byte-identical} to the flat engine
+    for any shard count.
 
-    When tracing, metrics recording or profiling is live, rounds fall
-    back to serial execution on the coordinator (the observability
-    sinks are single-domain); the result is the same either way. The
-    engine always runs the paper's representative policy
-    ([Rt.Paper]). *)
+    With one shard, with {!set_serial_only}, or when tracing, metrics
+    recording or profiling is live (the observability sinks are
+    single-domain), the same staging loop runs on the coordinator; the
+    result is the same either way. The engine always runs the paper's
+    representative policy ([Rt.Paper]). *)
 
 type t
 
@@ -26,48 +25,32 @@ type shard_stat = {
       (** groups whose victims and fresh-leaf processors were all
           home-owned *)
   mutable cross_groups : int;
-  mutable retries : int;  (** groups re-homed here by the retry sweep *)
   mutable heal_ns : int;  (** cumulative heal wall time *)
-  mutable mbox_depth : int;  (** groups assigned in the last round *)
-  mutable mbox_hw : int;  (** lifetime max assignment depth *)
 }
 
 (** What the last round did — the audit surface for
     {!Shard_check.check_round}. *)
 type round_info = {
   ri_groups : int;
-  ri_serial : bool;  (** healed directly on the coordinator *)
-  ri_retried : int;  (** groups rerouted off a dead shard *)
   ri_staged : (int * Fg_core.Rt.stage) array;
-      (** (shard, journal) per staged group, canonical commit order;
-          empty for serial rounds *)
+      (** (shard, journal) per repair group, canonical commit order *)
 }
 
-(** A shard's published slice: CSR snapshots of its incident edges in G
-    and G'. *)
-type shard_snapshot = { s_csr : Fg_graph.Csr.t; s_gprime_csr : Fg_graph.Csr.t }
+(** The widest partition {!create} accepts: 1024, the executor slot
+    limit of {!Fg_core.Rt.executor}. *)
+val max_shards : int
 
-(** [create ?shards ?block ?seed ?successors ?timeout g] builds the
-    engine over initial graph [g]. [shards] (default 1, max 1024) fixes
-    the partition width; [block] the ownership block size
-    ({!Shard_map}); [seed], [successors] and [timeout] parameterise the
-    membership ring ({!Shard_ring.create}). *)
-val create :
-  ?shards:int ->
-  ?block:int ->
-  ?seed:int ->
-  ?successors:int ->
-  ?timeout:int ->
-  Fg_graph.Adjacency.t ->
-  t
+(** [create ?shards ?block g] builds the engine over initial graph [g].
+    [shards] (default 1) fixes the partition width; [block] the
+    ownership block size ({!Shard_map}). Raises [Invalid_argument] unless
+    [1 <= shards <= max_shards]. *)
+val create : ?shards:int -> ?block:int -> Fg_graph.Adjacency.t -> t
 
 (** The underlying flat engine — all read accessors ([graph], [gprime],
     [csr], [is_alive], ...) apply to it directly. *)
 val fg : t -> Fg_core.Forgiving_graph.t
 
 val shards : t -> int
-val map : t -> Shard_map.t
-val ring : t -> Shard_ring.t
 
 (** {1 Events}
 
@@ -78,7 +61,7 @@ val insert : t -> Fg_graph.Node_id.t -> Fg_graph.Node_id.t list -> unit
 val insert_delta : t -> Fg_graph.Node_id.t -> Fg_graph.Node_id.t list -> Fg_core.Delta.t
 
 (** [delete_round t victims] deletes a batch of victims as one sharded
-    round (assignment, parallel staging, retry, canonical commit). *)
+    round (assignment, per-shard staging, canonical commit). *)
 val delete_round : t -> Fg_graph.Node_id.t list -> unit
 
 val delete_round_traced : t -> Fg_graph.Node_id.t list -> Fg_core.Rt.heal_trace list
@@ -87,37 +70,13 @@ val delete_round_delta : t -> Fg_graph.Node_id.t list -> Fg_core.Delta.t * Fg_co
 (** [delete t v] is [delete_round t [v]]. *)
 val delete : t -> Fg_graph.Node_id.t -> unit
 
-(** {1 Faults} *)
-
-(** Freeze a shard: its worker stops draining (and heartbeating). Its
-    queued groups are re-homed by the coordinator's retry sweep, which
-    also reports the failure to the ring. *)
-val freeze_shard : t -> int -> unit
-
-(** Resume; ring suspicion clears on the next round's tick. *)
-val unfreeze_shard : t -> int -> unit
-
 (** [set_serial_only t true] pins every round to the coordinator (same
     result, no worker domains) — required when the {!Fg_graph.Parallel}
     pool is owned by someone else, e.g. serve-bench reader tasks. *)
 val set_serial_only : t -> bool -> unit
 
-(** {1 Serving} *)
-
-(** Publish each live shard's slice (edges with an owned endpoint) into
-    its {!Fg_graph.Snapshot_store} at the engine's current generation.
-    Frozen shards are skipped — they keep serving their last pre-freeze
-    snapshot. *)
-val publish_shards : t -> unit
-
-val shard_store : t -> int -> shard_snapshot Fg_graph.Snapshot_store.t
-
 (** {1 Introspection} *)
 
 val stats : t -> shard_stat array
 val rounds : t -> int
-
-(** Shards that became suspected, cumulative. *)
-val suspicions : t -> int
-
 val last_round : t -> round_info

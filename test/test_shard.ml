@@ -1,15 +1,13 @@
-(* Sharded heal engine: ownership map, membership ring, SPSC mailbox,
-   and the PR's core acceptance property — a K-shard run is
-   byte-identical to the flat engine (same graphs, same G' image, same
-   delta stream, same RT root ids) on random attack scripts, including
-   forced cross-shard repair groups and frozen-shard recovery. *)
+(* Sharded heal engine: ownership map, argument validation, and the
+   core acceptance property — a K-shard run is byte-identical to the flat
+   engine (same graphs, same G' image, same delta stream, same RT root
+   ids) on random attack scripts, including forced cross-shard repair
+   groups and the coordinator-side staging loop a live sink forces. *)
 
 open Fg_graph
 module Fg = Fg_core.Forgiving_graph
 module Rt = Fg_core.Rt
 module Map = Fg_shard.Shard_map
-module Ring = Fg_shard.Shard_ring
-module Mailbox = Fg_shard.Mailbox
 module Engine = Fg_shard.Shard_engine
 module Check = Fg_shard.Shard_check
 
@@ -70,79 +68,31 @@ let prop_map_canonical_runs =
         hops;
       true)
 
-(* ---- Shard_ring ---- *)
+(* ---- argument validation ---- *)
 
-let test_ring_route_live () =
-  let r = Ring.create ~shards:4 ~seed:7 () in
-  for key = 0 to 200 do
-    let s = Ring.route r key in
-    Alcotest.(check bool) "in range" true (s >= 0 && s < 4);
-    Alcotest.(check int) "route is deterministic" s (Ring.route r key)
-  done;
-  for s = 0 to 3 do
-    Alcotest.(check int) "live delegate is itself" s (Ring.delegate r s);
-    Alcotest.(check int) "successor list length" 2
-      (List.length (Ring.successors r s))
-  done
+let test_engine_rejects () =
+  List.iter
+    (fun shards ->
+      match Engine.create ~shards (Generators.path 4) with
+      | _ -> Alcotest.failf "shards=%d must be rejected" shards
+      | exception Invalid_argument _ -> ())
+    [ 0; Engine.max_shards + 1 ];
+  ignore (Engine.create ~shards:Engine.max_shards (Generators.path 4))
 
-let test_ring_suspicion_lifecycle () =
-  let r = Ring.create ~timeout:3 ~shards:4 ~seed:7 () in
-  let fired = ref [] in
-  Ring.on_suspect r (fun s -> fired := s :: !fired);
-  Ring.freeze r 1;
-  Ring.tick r;
-  Ring.tick r;
-  Alcotest.(check bool) "below timeout: live" false (Ring.suspected r 1);
-  Ring.tick r;
-  Alcotest.(check bool) "at timeout: suspected" true (Ring.suspected r 1);
-  Alcotest.(check (list int)) "hook fired once" [ 1 ] !fired;
-  Ring.tick r;
-  Alcotest.(check (list int)) "no refire" [ 1 ] !fired;
-  (* routing and delegation now avoid shard 1 *)
-  for key = 0 to 100 do
-    Alcotest.(check bool) "route avoids suspect" true (Ring.route r key <> 1)
-  done;
-  let d = Ring.delegate r 1 in
-  Alcotest.(check bool) "delegate moved" true (d <> 1);
-  Alcotest.(check bool) "delegate live" false (Ring.suspected r d);
-  (* rejoin: unfreeze + one heartbeat clears suspicion *)
-  Ring.unfreeze r 1;
-  Ring.tick r;
-  Alcotest.(check bool) "rejoined" false (Ring.suspected r 1);
-  Alcotest.(check int) "delegate restored" 1 (Ring.delegate r 1)
-
-let test_ring_report_immediate () =
-  let r = Ring.create ~shards:3 ~seed:11 () in
-  Ring.report r 2;
-  Alcotest.(check bool) "reported => suspected" true (Ring.suspected r 2);
-  Alcotest.(check bool) "delegate avoids it" true (Ring.delegate r 2 <> 2)
-
-let test_ring_positions_distinct () =
-  let r = Ring.create ~shards:64 ~seed:3 () in
-  let seen = Hashtbl.create 64 in
-  for s = 0 to 63 do
-    let p = Ring.position r s in
-    Alcotest.(check bool) "distinct position" false (Hashtbl.mem seen p);
-    Hashtbl.replace seen p ()
-  done
-
-(* ---- Mailbox ---- *)
-
-let test_mailbox_fifo_and_growth () =
-  let mb = Mailbox.create ~capacity:2 () in
-  Alcotest.(check bool) "push a" true (Mailbox.push mb 'a');
-  Alcotest.(check bool) "push b" true (Mailbox.push mb 'b');
-  Alcotest.(check bool) "full" false (Mailbox.push mb 'x');
-  Alcotest.(check (option char)) "fifo 1" (Some 'a') (Mailbox.pop mb);
-  (* grow while non-empty (quiescent): queued entry survives in order *)
-  Mailbox.ensure_capacity mb 8;
-  Alcotest.(check bool) "cap grew" true (Mailbox.capacity mb >= 8);
-  List.iter (fun c -> assert (Mailbox.push mb c)) [ 'c'; 'd' ];
-  Alcotest.(check (option char)) "fifo 2" (Some 'b') (Mailbox.pop mb);
-  Alcotest.(check (option char)) "fifo 3" (Some 'c') (Mailbox.pop mb);
-  Alcotest.(check (option char)) "fifo 4" (Some 'd') (Mailbox.pop mb);
-  Alcotest.(check (option char)) "empty" None (Mailbox.pop mb);
-  Alcotest.(check int) "high water" 3 (Mailbox.high_water mb)
+let test_cli_rejects () =
+  let rc args = Sys.command ("../bin/fg_cli.exe " ^ args ^ " > /dev/null 2>&1") in
+  List.iter
+    (fun args -> Alcotest.(check int) args 2 (rc args))
+    [
+      "attack --family er -n 128 --fraction 0.4 --shards 2 --round 0";
+      "attack --family er -n 128 --fraction 0.4 --shards 2000";
+      "attack --family er -n 128 --shards=-1";
+      "simulate --family er -n 64 --deletions 4 --shards 2 --round 0";
+      "simulate --family er -n 64 --deletions 4 --shards 1025";
+      "serve-bench --family er -n 64 --duration 0.1 --shards 2000";
+    ];
+  Alcotest.(check int) "--round 0 without --shards is ignored" 0
+    (rc "attack --family er -n 32 --fraction 0.2 --round 0")
 
 (* ---- byte-identity with the flat engine ---- *)
 
@@ -198,7 +148,7 @@ let check_same_state label flat eng =
    the sharded audit. [block] is tiny so repair groups straddle shards
    (forced cross-shard deletes). *)
 let replay_and_check ?(audit = true) ~shards ~block g0 script flat_deltas flat =
-  let eng = Engine.create ~shards ~block ~seed:42 (Adjacency.copy g0) in
+  let eng = Engine.create ~shards ~block (Adjacency.copy g0) in
   List.iter2
     (fun ev flat_d ->
       let d =
@@ -256,38 +206,22 @@ let test_cross_shard_groups_exercised () =
   Alcotest.(check bool) "work spread beyond one shard" true
     (Array.to_list stats |> List.filter (fun s -> s.Engine.heals > 0) |> List.length > 1)
 
-(* frozen-shard recovery: freeze mid-script, keep attacking (groups
-   re-home through the ring's retry path), unfreeze, finish — the result
-   must still be byte-identical to the flat engine *)
-let test_frozen_shard_recovery () =
+(* a live sink pins every round to the coordinator: the serial staging
+   loop must match the flat engine delta for delta and pass the stage
+   audit, with K > 1 and cross-shard groups *)
+let test_identity_serial_with_metrics () =
   let rng = Rng.create 908 in
   let g0 = Generators.erdos_renyi rng 90 0.08 in
   let script, deltas, flat = gen_script 55 g0 ~events:36 ~k:4 in
-  let eng = Engine.create ~shards:4 ~block:2 ~seed:42 (Adjacency.copy g0) in
-  let n = List.length script in
-  let retried = ref 0 in
-  List.iteri
-    (fun i ev ->
-      if i = n / 3 then Engine.freeze_shard eng 1;
-      if i = 2 * n / 3 then Engine.unfreeze_shard eng 1;
-      let d =
-        match ev with
-        | Ins (id, nbrs) -> Engine.insert_delta eng id nbrs
-        | Del victims ->
-            let d, _ = Engine.delete_round_delta eng victims in
-            retried := !retried + (Engine.last_round eng).Engine.ri_retried;
-            d
-      in
-      if d <> List.nth deltas i then
-        Alcotest.failf "delta diverged under freeze at event %d" i)
-    script;
-  Alcotest.(check bool) "retry path exercised" true (!retried > 0);
-  Alcotest.(check bool) "suspicion raised" true (Engine.suspicions eng >= 1);
-  Alcotest.(check bool) "shard healthy again" false (Ring.suspected (Engine.ring eng) 1);
-  check_same_state "frozen/recovered" flat eng;
-  match Fg_core.Invariants.check (Engine.fg eng) with
-  | [] -> ()
-  | e :: _ -> Alcotest.failf "invariants after recovery: %s" e
+  let was = Fg_obs.Metrics.is_recording () in
+  Fg_obs.Metrics.set_recording true;
+  let eng =
+    Fun.protect
+      ~finally:(fun () -> Fg_obs.Metrics.set_recording was)
+      (fun () -> replay_and_check ~shards:2 ~block:2 g0 script deltas flat)
+  in
+  let heals = Array.fold_left (fun a s -> a + s.Engine.heals) 0 (Engine.stats eng) in
+  Alcotest.(check bool) "heals happened" true (heals > 0)
 
 (* the staged round machinery on the core API: healing groups in reverse
    order on two executors must equal delete_batch *)
@@ -319,87 +253,19 @@ let test_core_round_reverse_equals_batch () =
     (Adjacency.equal (Fg.gprime fg_a) (Fg.gprime fg_b));
   Alcotest.(check (list int)) "RT root ids" (root_ids fg_a) (root_ids fg_b)
 
-(* ---- per-shard serving stores ---- *)
-
-let csr_edges csr =
-  (* iter_row works in dense indices; map back to node ids *)
-  let acc = ref [] in
-  for i = 0 to Fg_graph.Csr.num_nodes csr - 1 do
-    let u = Fg_graph.Csr.id csr i in
-    Fg_graph.Csr.iter_row
-      (fun j ->
-        let v = Fg_graph.Csr.id csr j in
-        if u < v then acc := (u, v) :: !acc)
-      csr i
-  done;
-  List.sort compare !acc
-
-let graph_edges g =
-  let acc = ref [] in
-  Adjacency.iter_edges (fun u v -> acc := (min u v, max u v) :: !acc) g;
-  List.sort compare !acc
-
-let test_publish_shards () =
-  let rng = Rng.create 910 in
-  let g0 = Generators.erdos_renyi rng 60 0.1 in
-  let eng = Engine.create ~shards:3 ~block:4 ~seed:42 (Adjacency.copy g0) in
-  let arng = Rng.create 5 in
-  for _ = 1 to 6 do
-    let live = Fg.live_nodes (Engine.fg eng) in
-    Engine.delete_round eng [ Rng.pick arng live ]
-  done;
-  Engine.publish_shards eng;
-  let gen = Fg.generation (Engine.fg eng) in
-  let union = ref [] in
-  for s = 0 to 2 do
-    let store = Engine.shard_store eng s in
-    Alcotest.(check int)
-      (Printf.sprintf "store %d at engine gen" s)
-      gen
-      (Fg_graph.Snapshot_store.current_gen store);
-    match Fg_graph.Snapshot_store.peek store with
-    | None -> Alcotest.fail "no snapshot"
-    | Some snap ->
-        let edges = csr_edges snap.Fg_graph.Snapshot_store.value.Engine.s_csr in
-        let m = Engine.map eng in
-        List.iter
-          (fun (u, v) ->
-            if Map.owner m u <> s && Map.owner m v <> s then
-              Alcotest.failf "shard %d stores foreign edge (%d,%d)" s u v)
-          edges;
-        union := edges @ !union
-  done;
-  Alcotest.(check bool) "shard union covers the graph" true
-    (List.sort_uniq compare !union = graph_edges (Fg.graph (Engine.fg eng)));
-  (* a frozen shard keeps serving its last generation *)
-  Engine.freeze_shard eng 0;
-  let live = Fg.live_nodes (Engine.fg eng) in
-  Engine.delete_round eng [ Rng.pick arng live ];
-  Engine.publish_shards eng;
-  let gen' = Fg.generation (Engine.fg eng) in
-  Alcotest.(check bool) "engine advanced" true (gen' > gen);
-  Alcotest.(check int) "frozen store is stale" gen
-    (Fg_graph.Snapshot_store.current_gen (Engine.shard_store eng 0));
-  Alcotest.(check int) "live store advanced" gen'
-    (Fg_graph.Snapshot_store.current_gen (Engine.shard_store eng 1))
-
 let suite =
   [
     Alcotest.test_case "map: block-cyclic formula" `Quick test_map_formula;
     Alcotest.test_case "map: rejects bad args" `Quick test_map_rejects;
-    Alcotest.test_case "ring: route + delegates live" `Quick test_ring_route_live;
-    Alcotest.test_case "ring: suspicion lifecycle" `Quick test_ring_suspicion_lifecycle;
-    Alcotest.test_case "ring: report is immediate" `Quick test_ring_report_immediate;
-    Alcotest.test_case "ring: positions distinct" `Quick test_ring_positions_distinct;
-    Alcotest.test_case "mailbox: fifo + growth" `Quick test_mailbox_fifo_and_growth;
+    Alcotest.test_case "engine: rejects bad shard counts" `Quick test_engine_rejects;
+    Alcotest.test_case "cli: bad --shards/--round exit 2" `Quick test_cli_rejects;
     Alcotest.test_case "identity: ER script, K in {1,2,4}" `Quick test_identity_er;
     Alcotest.test_case "identity: BA script, K in {2,4}" `Quick test_identity_ba;
     Alcotest.test_case "identity: cross-shard groups occur" `Quick
       test_cross_shard_groups_exercised;
-    Alcotest.test_case "identity: frozen-shard recovery" `Quick
-      test_frozen_shard_recovery;
+    Alcotest.test_case "identity: serial staging, sink live" `Quick
+      test_identity_serial_with_metrics;
     Alcotest.test_case "core: reverse staged round = batch" `Quick
       test_core_round_reverse_equals_batch;
-    Alcotest.test_case "stores: per-shard publish" `Quick test_publish_shards;
   ]
   @ List.map QCheck_alcotest.to_alcotest [ prop_map_canonical_runs ]

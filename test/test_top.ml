@@ -104,7 +104,7 @@ let test_cli_top_smoke () =
 
 let test_shard_row () =
   let t = Top.create ~window:10.0 () in
-  let shard_point ts h0 h1 d0 d1 =
+  let shard_point ts h0 h1 =
     point "fg.shard" ts
       ~attrs:
         [
@@ -112,17 +112,15 @@ let test_shard_row () =
           ("round", E.Int 1);
           ("groups", E.Int 2);
           ("s0.heals", E.Int h0);
-          ("s0.mbox", E.Int d0);
           ("s1.heals", E.Int h1);
-          ("s1.mbox", E.Int d1);
         ]
   in
   Alcotest.(check int) "no points: no rates" 0
     (Array.length (Top.shard_heal_rates t));
   (* cumulative heals: shard 0 gains 20, shard 1 gains 10, over 2s *)
-  Top.feed t (shard_point 0.0 0 0 1 1);
-  Top.feed t (shard_point 1.0 12 4 3 2);
-  Top.feed t (shard_point 2.0 20 10 2 5);
+  Top.feed t (shard_point 0.0 0 0);
+  Top.feed t (shard_point 1.0 12 4);
+  Top.feed t (shard_point 2.0 20 10);
   let rates = Top.shard_heal_rates t in
   Alcotest.(check int) "one rate per shard" 2 (Array.length rates);
   if Float.abs (rates.(0) -. 10.0) > 0.5 then
@@ -133,7 +131,7 @@ let test_shard_row () =
   List.iter
     (fun sub ->
       Alcotest.(check bool) ("frame contains " ^ sub) true (contains sub frame))
-    [ "shards:"; "s0 "; "s1 "; "mbox 2"; "mbox 5" ]
+    [ "shards:"; "s0 10.0/s"; "s1 5.0/s" ]
 
 let suite =
   [

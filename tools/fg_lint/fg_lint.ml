@@ -76,9 +76,9 @@ let rules : rule list =
       id = "R7";
       severity = Error;
       summary =
-        "unbalanced paired protocol calls (pin/unpin, reserve/commit, \
-         stage/commit_stage) within a top-level binding, or a pin that can \
-         escape on an exception path (use with_pin or Fun.protect)";
+        "unbalanced paired protocol calls (pin/unpin, stage/commit_stage) \
+         within a top-level binding, or a pin that can escape on an \
+         exception path (use with_pin or Fun.protect)";
     };
     {
       id = "R8";
@@ -92,8 +92,7 @@ let rules : rule list =
       severity = Error;
       summary =
         "blocking call (Unix.sleep*, Condition.wait, Mutex.lock, \
-         Parallel.await) while a snapshot is pinned or a mailbox slot is \
-         reserved";
+         Parallel.await) while a snapshot is pinned";
     };
   ]
 
@@ -149,7 +148,6 @@ let default_conf () =
       [
         "lib/graph/snapshot_store.ml";
         "lib/graph/parallel.ml";
-        "lib/shard/mailbox.ml";
         "lib/shard/shard_engine.ml";
         "lib/serve";
       ];
@@ -530,18 +528,17 @@ let r8_target lid =
 
 (* The paired protocols the serving tier leans on. Matching is by the
    distinctive final name: [pin]/[unpin]/[with_pin] bind tightly enough to
-   match bare, the generic names ([reserve], [commit], [abort], [stage],
-   [commit_stage]) only count module-qualified. [Rt.stage]/[commit_stage]
-   is registered for completeness but commits are usually cross-function
-   (the stage lives in a record field), which per-binding analysis cannot
-   see — conservative, never a false positive. *)
-type pair = Pin | Slot | Stage
+   match bare, the generic names ([stage], [commit_stage]) only count
+   module-qualified. [Rt.stage]/[commit_stage] is registered for
+   completeness but commits are usually cross-function (the stage lives
+   in a record field), which per-binding analysis cannot see —
+   conservative, never a false positive. *)
+type pair = Pin | Stage
 
-let pair_count = 3
-let pair_idx = function Pin -> 0 | Slot -> 1 | Stage -> 2
+let pair_count = 2
+let pair_idx = function Pin -> 0 | Stage -> 1
 let pair_name = function
   | Pin -> "Snapshot_store.pin/unpin"
-  | Slot -> "Mailbox.reserve/commit"
   | Stage -> "Rt.stage/commit_stage"
 
 type pair_class = POpen of pair | PClose of pair | PWith_pin | PNone
@@ -551,15 +548,12 @@ let classify_pair path =
   | "pin" :: _ -> POpen Pin
   | "unpin" :: _ -> PClose Pin
   | "with_pin" :: _ -> PWith_pin
-  | "reserve" :: _ :: _ -> POpen Slot
-  | ("commit" | "abort") :: _ :: _ -> PClose Slot
   | "stage" :: _ :: _ -> POpen Stage
   | "commit_stage" :: _ :: _ -> PClose Stage
   | _ -> PNone
 
 (* calls that park the calling domain (or sleep it): poison while holding
-   a pin or a reserved slot — a stalled reader stalls reclamation for
-   everyone, a stalled producer wedges the SPSC ring *)
+   a pin — a stalled reader stalls reclamation for everyone *)
 let classify_blocking path =
   match last_two path with
   | Some ("Unix", (("sleep" | "sleepf") as f)) -> Some ("Unix." ^ f)
@@ -683,7 +677,7 @@ let analyze_pevents ctx ~(binding_loc : Location.t) events =
       let h = ref [] in
       List.iter
         (fun p -> if depth.(pair_idx p) > 0 then h := pair_name p :: !h)
-        [ Stage; Slot; Pin ];
+        [ Stage; Pin ];
       !h
     in
     List.iter
@@ -699,7 +693,7 @@ let analyze_pevents ctx ~(binding_loc : Location.t) events =
             emit ctx ~rule:"R9" ~loc
               (Printf.sprintf
                  "blocking call %s while holding %s; release before blocking (a parked \
-                  holder stalls reclamation / wedges the ring)"
+                  holder stalls reclamation)"
                  name (String.concat ", " hs)))
         | Ev_raise loc ->
           if depth.(pair_idx Pin) > 0 then
@@ -716,7 +710,7 @@ let analyze_pevents ctx ~(binding_loc : Location.t) events =
                "%d %s open(s) without a matching close in this binding (the resource \
                 escapes; close on every path)"
                depth.(i) (pair_name p)))
-      [ Pin; Slot; Stage ]
+      [ Pin; Stage ]
   end
 
 (* R6 over one type declaration: every mutable field in a
